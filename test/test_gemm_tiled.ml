@@ -110,7 +110,20 @@ let accumulators =
 
 let granularities = [ Axconv.Per_tensor; Axconv.Per_channel ]
 
-let multipliers = [| "mul8u_exact"; "mul8u_trunc8"; "mul8s_exact" |]
+(* Exact and lossy tables of both signednesses: truncation at three
+   cuts, a sparse bit-flip fault, DRUM, and a signed DRUM so the signed
+   decode correction meets a lossy table. *)
+let multipliers =
+  [|
+    "mul8u_exact";
+    "mul8u_trunc8";
+    "mul8s_exact";
+    "mul8u_trunc4";
+    "mul8u_trunc10";
+    "mul8u_flip14_1e-3";
+    "mul8u_drum4";
+    "mul8s_drum4";
+  |]
 
 let test_sweep () =
   let cases = ref 0 in
@@ -132,7 +145,7 @@ let test_sweep () =
     let input_range = Range.of_tensor input in
     let fmin, fmax = Filter.min_max filter in
     let filter_range = Range.make ~min:fmin ~max:fmax in
-    let entry = Registry.find_exn multipliers.(id mod 3) in
+    let entry = Registry.find_exn multipliers.(id mod Array.length multipliers) in
     let bias =
       if id mod 2 = 0 then Some (Array.init out_c (fun k -> 0.01 *. float_of_int k))
       else None

@@ -22,7 +22,6 @@ let record ?(label = "r") ?(bench = Perf.default_bench) ?(images = 2)
           { Perf.domains; seconds = 1.0; images_per_sec = ips })
         throughput;
     ns_per_mac;
-    lut_compression = None;
   }
 
 (* --- parsing --- *)
@@ -59,26 +58,29 @@ let test_record_json_round_trip () =
     Perf.record_of_json (Json.parse (Json.to_string (Perf.record_to_json no_mac)))
   in
   check_bool "absent ns/MAC stays absent" true (no_mac'.Perf.ns_per_mac = None);
-  let comp =
-    {
-      (record ~ns_per_mac:2.2 [ (1, 3.0) ]) with
-      Perf.lut_compression =
-        Some
-          {
-            Perf.multiplier = "mul8u_trunc8";
-            comp_mode = "split-factored";
-            comp_bytes = 6144;
-            comp_ratio = 21.3;
-          };
-    }
+  (* History lines written while [bench -- gemm] still reported a
+     compressed LUT carry a [lut_compression] member: it is ignored, and
+     the line still parses and baselines the gate. *)
+  let legacy =
+    Perf.record_of_json
+      (Json.parse
+         {|{"label":"2026-09-01T00:00:00Z","bench":"gemm","images":4,
+            "throughput":[{"domains":1,"seconds":1.0,"images_per_sec":8.0}],
+            "lut_compression":{"multiplier":"mul8u_trunc8",
+              "mode":"split-factored","bytes":6144,"ratio":21.3},
+            "micro":{"ns_per_mac":4.0}}|})
   in
-  let comp' =
-    Perf.record_of_json (Json.parse (Json.to_string (Perf.record_to_json comp)))
-  in
-  check_bool "lut compression round trips" true (comp = comp');
-  (* Pre-compression history lines keep parsing: the member is optional. *)
-  check_bool "absent compression stays absent" true
-    (no_mac'.Perf.lut_compression = None)
+  check_bool "legacy line parses" true
+    (legacy
+    = record ~label:"2026-09-01T00:00:00Z" ~images:4 ~ns_per_mac:4.0
+        [ (1, 8.0) ]);
+  let gate current = Perf.gate ~threshold:0.2 ~history:[ legacy ] ~current in
+  let steady = gate (record ~ns_per_mac:4.1 [ (1, 7.9) ]) in
+  check_int "legacy line baselines both metrics" 2 (List.length steady);
+  check_bool "legacy baseline passes a steady run" false
+    (Perf.regressed steady);
+  check_bool "legacy baseline catches a slow run" true
+    (Perf.regressed (gate (record ~ns_per_mac:9.0 [ (1, 7.9) ])))
 
 let test_utc_label_shape () =
   let l = Perf.utc_label () in
